@@ -39,9 +39,10 @@ func sparseFlows() []Flow {
 }
 
 // BenchmarkNetworkStep times one simulated cycle of a moderately loaded
-// 10x6 mesh — the inner loop of every NoC measurement window.
+// 10x6 mesh — the inner loop of every NoC measurement window — under each
+// routing family the Fig 6 grid runs: XY, ICON's minBy and PANR.
 func BenchmarkNetworkStep(b *testing.B) {
-	for _, alg := range []Algorithm{XY{}, PANR{}} {
+	for _, alg := range []Algorithm{XY{}, ICON{}, PANR{}} {
 		b.Run(alg.Name(), func(b *testing.B) {
 			env := &Env{PSN: make([]float64, 60)}
 			n, err := NewNetwork(Config{}, alg, benchFlows(), env)

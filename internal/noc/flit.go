@@ -26,20 +26,24 @@ const (
 	KindHeadTail
 )
 
-// flit is one flow-control unit in flight.
+// flit is one flow-control unit in flight. Its destination is its flow's,
+// and a front head's routing decision lives in its router (router.routed).
 type flit struct {
 	kind   FlitKind
 	flow   int // index into the simulation's flow table
 	packet int // packet sequence number within the flow
-	dst    geom.TileID
-	outDir geom.Dir // assigned output at current router (head decides)
-	born   int      // cycle the packet's head was injected
-	routed bool     // head flit: output direction already computed
 	// noise is the worst PSN sensor reading on the route so far, carried by
 	// head flits for the fault model's corruption check; unused (zero) when
 	// no fault model is installed.
 	noise float64
 }
+
+// isHead reports whether f opens a packet and so needs route computation.
+func (f *flit) isHead() bool { return f.kind == KindHead || f.kind == KindHeadTail }
+
+// isTail reports whether f closes a packet and so releases its wormhole
+// channel.
+func (f *flit) isTail() bool { return f.kind == KindTail || f.kind == KindHeadTail }
 
 // Flow is one traffic stream: the mapped image of an APG edge. Src and Dst
 // are tiles; Rate is the demand in flits per cycle (may exceed 1 only in

@@ -137,9 +137,13 @@ type Network struct {
 	nextWake      []int // latest scheduled wake per flow; -1 when dormant
 	rated         []int // tiles that received flits this cycle (deduplicated)
 
-	// per-cycle scratch, reused to avoid allocation in the hot loop
-	arrivalScratch []pendingArrival
-	inFlight       [][geom.NumPorts]int
+	// links[t*NumPorts+out] is where router t's output port out leads,
+	// built once so traversal needs no mesh arithmetic per flit.
+	links []link
+
+	// per-cycle scratch, reused to avoid allocation in the hot loop: the
+	// links whose far-end buffer holds a staged flit this cycle
+	arrivalScratch []link
 
 	// faults, when non-nil, injects noise-induced packet losses at ejection
 	// (SetFaultModel). pendingRecovery[f] counts flow f's retransmissions
@@ -191,8 +195,8 @@ func NewNetwork(cfg Config, alg Algorithm, flows []Flow, env *Env) (*Network, er
 		// rated entry per tile per cycle, one live wakeup per flow.
 		rated:          make([]int, 0, mesh.NumTiles()),
 		wake:           make(wakeHeap, 0, len(flows)),
-		arrivalScratch: make([]pendingArrival, 0, mesh.NumTiles()*geom.NumPorts),
-		inFlight:       make([][geom.NumPorts]int, mesh.NumTiles()),
+		arrivalScratch: make([]link, 0, mesh.NumTiles()*geom.NumPorts),
+		links:          make([]link, mesh.NumTiles()*geom.NumPorts),
 	}
 	// One backing array for every input buffer keeps the rings contiguous.
 	bufs := make([]flit, mesh.NumTiles()*geom.NumPorts*cfg.BufferFlits)
@@ -203,6 +207,13 @@ func NewNetwork(cfg Config, alg Algorithm, flows []Flow, env *Env) (*Network, er
 			n.routers[i].owner[p] = noOwner
 			off := (i*geom.NumPorts + p) * cfg.BufferFlits
 			n.routers[i].inputs[p].buf = bufs[off : off+cfg.BufferFlits]
+			l := link{to: -1}
+			if d := indexDir[p]; d != geom.Local {
+				if next, ok := mesh.Neighbor(geom.TileID(i), d); ok {
+					l = link{to: int32(next), port: int32(dirIndex(d.Opposite()))}
+				}
+			}
+			n.links[i*geom.NumPorts+p] = l
 		}
 		n.partialFlow[i] = -1
 	}
@@ -488,9 +499,8 @@ func (n *Network) updateTileActivity(t int) {
 //
 //parm:hot
 func (n *Network) injectAtTile(t int) {
-	lp := dirIndex(geom.Local)
 	r := &n.routers[t]
-	if r.inputs[lp].len() >= n.cfg.BufferFlits {
+	if r.inputs[localPort].len() >= n.cfg.BufferFlits {
 		return
 	}
 	fi := n.pickInjection(t)
@@ -498,12 +508,12 @@ func (n *Network) injectAtTile(t int) {
 		return
 	}
 	k := n.flitToInject(t, fi)
-	if n.faults != nil && (k.kind == KindHead || k.kind == KindHeadTail) {
+	if n.faults != nil && k.isHead() {
 		// Path-noise accounting starts at the injection router.
 		k.noise = n.env.psnAt(geom.TileID(t))
 	}
-	r.inputs[lp].push(k)
-	r.buffered++
+	r.inputs[localPort].stage(k)
+	r.land(localPort)
 	n.activeRouters.set(t)
 	n.noteReceive(r, t)
 	n.stats[fi].InjectedFlits++
@@ -544,12 +554,12 @@ func (n *Network) flitToInject(t, fi int) flit {
 		n.decStaged(fi)
 		n.starts[fi].record(seq, n.cycle)
 		if fpp == 1 {
-			return flit{kind: KindHeadTail, flow: fi, packet: seq, dst: n.flows[fi].Dst, born: n.cycle}
+			return flit{kind: KindHeadTail, flow: fi, packet: seq}
 		}
 		n.partialFlow[t] = fi
 		n.partialLeft[t] = fpp - 1
 		n.activeTiles.set(t)
-		return flit{kind: KindHead, flow: fi, packet: seq, dst: n.flows[fi].Dst, born: n.cycle}
+		return flit{kind: KindHead, flow: fi, packet: seq}
 	}
 	seq := n.nextSeq[fi] - 1
 	n.partialLeft[t]--
@@ -559,33 +569,29 @@ func (n *Network) flitToInject(t, fi int) flit {
 		n.partialFlow[t] = -1
 		n.updateTileActivity(t)
 	}
-	return flit{kind: kind, flow: fi, packet: seq, dst: n.flows[fi].Dst, born: n.cycle}
+	return flit{kind: kind, flow: fi, packet: seq}
 }
 
-// routeComputeRouter assigns output directions to unrouted head flits at
-// the front of router t's input buffers.
+// routeComputeRouter assigns output ports to the unrouted head flits at the
+// front of router t's input buffers, in ascending port order.
 //
 //parm:hot
 func (n *Network) routeComputeRouter(t int) {
 	r := &n.routers[t]
-	for p := range r.inputs {
-		if r.inputs[p].len() == 0 {
-			continue
-		}
+	for m := r.unrouted; m != 0; m &= m - 1 {
+		p := bits.TrailingZeros8(m)
 		f := r.inputs[p].front()
-		if f.routed || (f.kind != KindHead && f.kind != KindHeadTail) {
-			continue
-		}
 		ctx := RouteCtx{
 			Net:            n,
 			At:             geom.TileID(t),
-			Dst:            f.dst,
+			Dst:            n.flows[f.flow].Dst,
 			InDir:          indexDir[p],
 			InputOccupancy: r.occupancy(p, n.cfg.BufferFlits),
 		}
-		f.outDir = n.alg.Route(ctx)
-		f.routed = true
+		r.reqPort[p] = int8(dirIndex(n.alg.Route(ctx)))
 	}
+	r.routed |= r.unrouted
+	r.unrouted = 0
 }
 
 // traverseRouter performs output arbitration and moves at most one flit per
@@ -593,71 +599,52 @@ func (n *Network) routeComputeRouter(t int) {
 // router drains completely it leaves the active set.
 //
 //parm:hot
-func (n *Network) traverseRouter(t int, arrivals []pendingArrival) []pendingArrival {
+func (n *Network) traverseRouter(t int, arrivals []link) []link {
 	r := &n.routers[t]
-	// Output arbitration: free outputs pick a requesting input.
-	for out := 0; out < geom.NumPorts; out++ {
-		if r.owner[out] != noOwner {
-			continue
-		}
-		for k := 0; k < geom.NumPorts; k++ {
-			in := (r.rrPtr[out] + k) % geom.NumPorts
-			if r.inputs[in].len() == 0 {
-				continue
-			}
-			f := r.inputs[in].front()
-			if !f.routed || dirIndex(f.outDir) != out {
-				continue
-			}
-			r.owner[out] = in
-			r.rrPtr[out] = (in + 1) % geom.NumPorts
-			break
-		}
-	}
+	r.arbitrate()
 	// Traversal: each owned output forwards its input's front flit.
-	for out := 0; out < geom.NumPorts; out++ {
+	links := n.links[t*geom.NumPorts : (t+1)*geom.NumPorts]
+	for m := r.owned; m != 0; m &= m - 1 {
+		out := bits.TrailingZeros8(m)
 		in := r.owner[out]
-		if in == noOwner || r.inputs[in].len() == 0 {
+		if r.inputs[in].len() == 0 {
 			continue
 		}
-		if out == dirIndex(geom.Local) {
+		if out == localPort {
 			// Ejection: infinite sink.
-			f := r.inputs[in].pop()
-			r.buffered--
+			f := r.pop(in)
 			r.forwarded++
 			n.eject(f)
-			if f.kind == KindTail || f.kind == KindHeadTail {
-				r.owner[out] = noOwner
+			if f.isTail() {
+				r.release(out)
 			}
 			continue
 		}
-		dir := indexDir[out]
-		next, ok := n.mesh.Neighbor(geom.TileID(t), dir)
-		if !ok {
+		l := links[out]
+		if l.to < 0 {
 			// Misrouting off-mesh cannot happen with a sane algorithm;
 			// drop the channel to avoid wedging the port forever.
-			r.owner[out] = noOwner
+			r.release(out)
 			continue
 		}
-		dstPort := dirIndex(dir.Opposite())
-		nr := &n.routers[next]
-		if nr.inputs[dstPort].len()+n.inFlight[next][dstPort] >= n.cfg.BufferFlits {
+		dq := &n.routers[l.to].inputs[l.port]
+		if dq.n+dq.staged >= n.cfg.BufferFlits {
 			continue // no downstream credit
 		}
-		n.inFlight[next][dstPort]++
-		f := r.inputs[in].pop()
-		r.buffered--
+		f := r.pop(in)
 		r.forwarded++
-		// Body/tail flits follow the worm without route computation.
-		moved := f
-		moved.routed = false
-		moved.outDir = geom.DirInvalid
+		if n.faults != nil && f.isHead() {
+			if p := n.env.psnAt(geom.TileID(l.to)); p > f.noise {
+				f.noise = p
+			}
+		}
+		dq.stage(f)
 		// Bounded by the scratch capacity NewNetwork preallocated: one
 		// arrival per (tile, port) per cycle.
 		//parm:alloc
-		arrivals = append(arrivals, pendingArrival{to: next, port: dstPort, f: moved})
-		if f.kind == KindTail || f.kind == KindHeadTail {
-			r.owner[out] = noOwner
+		arrivals = append(arrivals, l)
+		if f.isTail() {
+			r.release(out)
 		}
 	}
 	if r.buffered == 0 {
@@ -682,7 +669,7 @@ func (n *Network) eject(f flit) {
 		// head to tail, so a flow's packets eject contiguously.
 		n.headNoise[f.flow] = f.noise
 	}
-	if f.kind != KindTail && f.kind != KindHeadTail {
+	if !f.isTail() {
 		return
 	}
 	if n.faults != nil {
@@ -713,26 +700,17 @@ func (n *Network) eject(f flit) {
 	}
 }
 
-// applyArrivals lands link crossings into downstream input buffers. It also
-// clears the inFlight credit holds — every nonzero entry corresponds to
-// exactly one arrival, so this leaves the whole table zero for the next
-// sweep without a full rezeroing pass.
+// applyArrivals lands the flits staged by this cycle's link crossings,
+// which also returns their held credits.
 //
 //parm:hot
-func (n *Network) applyArrivals(arrivals []pendingArrival) {
-	for i := range arrivals {
-		a := &arrivals[i]
-		if n.faults != nil && (a.f.kind == KindHead || a.f.kind == KindHeadTail) {
-			if p := n.env.psnAt(a.to); p > a.f.noise {
-				a.f.noise = p
-			}
-		}
-		r := &n.routers[a.to]
-		r.inputs[a.port].push(a.f)
-		r.buffered++
-		n.activeRouters.set(int(a.to))
-		n.noteReceive(r, int(a.to))
-		n.inFlight[a.to][a.port] = 0
+func (n *Network) applyArrivals(arrivals []link) {
+	for _, a := range arrivals {
+		to := int(a.to)
+		r := &n.routers[to]
+		r.land(int(a.port))
+		n.activeRouters.set(to)
+		n.noteReceive(r, to)
 	}
 }
 

@@ -28,14 +28,26 @@ func TestAlgorithmByName(t *testing.T) {
 	}
 }
 
+// dirIndex is int(d)-1, so port indices and the arbiter's request-mask
+// bits depend on geom's East=1 … Local=5 numbering: pin it here.
 func TestDirIndexRoundTrip(t *testing.T) {
 	for i, d := range indexDir {
 		if dirIndex(d) != i {
 			t.Errorf("dirIndex(indexDir[%d]) = %d", i, dirIndex(d))
 		}
 	}
-	if dirIndex(geom.DirInvalid) != -1 {
-		t.Error("invalid direction has a port index")
+	for want, d := range []geom.Dir{geom.DirInvalid, geom.East, geom.West, geom.North, geom.South, geom.Local} {
+		if int(d) != want {
+			t.Errorf("geom.%v = %d, want %d", d, int(d), want)
+		}
+	}
+	if localPort != dirIndex(geom.Local) {
+		t.Errorf("localPort = %d, dirIndex(Local) = %d", localPort, dirIndex(geom.Local))
+	}
+	for _, d := range []geom.Dir{geom.DirInvalid, geom.Dir(-1), geom.Local + 1, geom.Dir(99)} {
+		if dirIndex(d) != -1 {
+			t.Errorf("invalid direction %d has port index %d", int(d), dirIndex(d))
+		}
 	}
 }
 
