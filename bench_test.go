@@ -159,9 +159,8 @@ func BenchmarkEngineRunFig6Cell(b *testing.B) {
 	}
 	b.Run("serial", func(b *testing.B) {
 		run(b, core.Config{
-			SoftDeadlines:   true,
-			DisableNoCCache: true,
-			Chip:            chip.Config{PSNWorkers: 1, DisablePSNCache: true},
+			SoftDeadlines: true,
+			Chip:          chip.Config{PSNWorkers: 1, DisablePSNCache: true},
 		})
 	})
 	b.Run("parallel", func(b *testing.B) {

@@ -136,7 +136,7 @@ func runBench(outPath string, numApps int, seed int64, verbose func(string, ...i
 	// Domain solve, cache-miss path, per mode: the BenchmarkDomainSolve
 	// counterpart (uncached Solver, warm scratch + electrical caches).
 	verbose("bench: domain solve (cache miss)")
-	for _, m := range []pdn.Mode{pdn.ModeRK4, pdn.ModeExpm, pdn.ModePhasor} {
+	for _, m := range []pdn.Mode{pdn.ModeRK4, pdn.ModePhasor} {
 		cfg := pdn.Config{Params: p, Vdd: 0.5, Mode: m}
 		s := pdn.NewSolver(nil)
 		err := add(measure("domain_solve/"+m.String(), 50, 300*time.Millisecond, func() error {
@@ -232,9 +232,6 @@ func runBench(outPath string, numApps int, seed int64, verbose func(string, ...i
 
 	if rk4, ph := lookup("domain_solve/rk4"), lookup("domain_solve/phasor"); ph > 0 {
 		rep.Derived["speedup_phasor_vs_rk4"] = rk4 / ph
-	}
-	if rk4, ex := lookup("domain_solve/rk4"), lookup("domain_solve/expm"); ex > 0 {
-		rep.Derived["speedup_expm_vs_rk4"] = rk4 / ex
 	}
 	if ph, hit := lookup("domain_solve/phasor"), lookup("domain_solve/cache_hit"); hit > 0 {
 		rep.Derived["speedup_cache_hit_vs_phasor"] = ph / hit

@@ -16,8 +16,6 @@ import (
 	"fmt"
 	"io"
 	"log"
-	"net/http"
-	_ "net/http/pprof" // registered handlers serve only when -pprof is set
 	"os"
 	"strings"
 
@@ -49,22 +47,12 @@ func main() {
 		timelineOut  = flag.String("timeline", "", "write engine events as Chrome trace JSON to this file (runs interleave across parallel cells)")
 		decisionsOut = flag.String("decisions-out", "", "write the mapper decision provenance log as JSON to this file (runs interleave across parallel cells)")
 		serveAddr    = flag.String("serve", "", "serve live telemetry on this address (e.g. :9090): /metrics, /healthz, /snapshot, /decisions, /trace, /debug/pprof/")
-		pprofAddr    = flag.String("pprof", "", "serve net/http/pprof on this address (e.g. localhost:6060); off when empty")
 	)
 	flag.Parse()
 
 	mode, err := core.ParseNoCMode(*nocMode)
 	if err != nil {
 		log.Fatal(err)
-	}
-
-	if *pprofAddr != "" {
-		go func() {
-			log.Printf("pprof listening on http://%s/debug/pprof/", *pprofAddr)
-			if err := http.ListenAndServe(*pprofAddr, nil); err != nil {
-				log.Printf("pprof server: %v", err)
-			}
-		}()
 	}
 
 	if *bench {

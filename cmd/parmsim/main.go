@@ -12,8 +12,6 @@ import (
 	"fmt"
 	"io"
 	"log"
-	"net/http"
-	_ "net/http/pprof" // registered handlers serve only when -pprof is set
 	"os"
 
 	"parm/internal/appmodel"
@@ -49,19 +47,9 @@ func main() {
 		timelineOut  = flag.String("timeline", "", "write the engine event timeline as Chrome trace JSON to this file (load at ui.perfetto.dev)")
 		decisionsOut = flag.String("decisions-out", "", "write the mapper decision provenance log as JSON to this file")
 		serveAddr    = flag.String("serve", "", "serve live telemetry on this address (e.g. :9090): /metrics, /healthz, /snapshot, /decisions, /trace, /debug/pprof/")
-		pprofAddr    = flag.String("pprof", "", "serve net/http/pprof on this address (e.g. localhost:6060); off when empty")
 		psnWorkers   = flag.Int("psnworkers", 0, "PSN solver workers per sample (0 = GOMAXPROCS)")
 	)
 	flag.Parse()
-
-	if *pprofAddr != "" {
-		go func() {
-			log.Printf("pprof listening on http://%s/debug/pprof/", *pprofAddr)
-			if err := http.ListenAndServe(*pprofAddr, nil); err != nil {
-				log.Printf("pprof server: %v", err)
-			}
-		}()
-	}
 
 	fw, err := core.Combo(*mapper, *routing)
 	if err != nil {
@@ -245,9 +233,6 @@ func main() {
 		t.AddRow("PDN solve-cache hits / misses", fmt.Sprintf("%d / %d", m.PDNCache.Hits, m.PDNCache.Misses))
 		t.AddRow("PDN solve-cache clears", m.PDNCache.Clears)
 		t.AddRow("PDN solve-cache evicted", m.PDNCache.Evicted)
-	}
-	if m.NoCMemo != nil {
-		t.AddRow("NoC memo hits / misses", fmt.Sprintf("%d / %d", m.NoCMemo.Hits, m.NoCMemo.Misses))
 	}
 	if err := t.Write(os.Stdout); err != nil {
 		log.Fatal(err)

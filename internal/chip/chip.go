@@ -81,8 +81,8 @@ type Config struct {
 	// mode for determinism tests and benchmarks).
 	DisablePSNCache bool
 	// PSNMode selects the domain transient solver algorithm (the zero
-	// value, pdn.ModeAuto, selects the exact phasor steady-state fast
-	// path; pdn.ModeRK4 is the numerical reference). Samples are
+	// value, pdn.ModePhasor, selects the exact steady-state fast path;
+	// pdn.ModeRK4 is the numerical reference). Samples are
 	// bit-identical across runs for any fixed mode.
 	PSNMode pdn.Mode
 }

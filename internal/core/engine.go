@@ -2,7 +2,6 @@ package core
 
 import (
 	"fmt"
-	"math"
 	"sort"
 
 	"parm/internal/appmodel"
@@ -17,7 +16,9 @@ import (
 
 // Config parameterizes a simulation run.
 type Config struct {
-	// Chip configures the CMP platform (defaults: 10x6 mesh, 7nm, 65 W).
+	// Chip configures the CMP platform (defaults: 10x6 mesh, 7nm, 65 W),
+	// including the PSN measurement knobs (PSNWorkers, DisablePSNCache, and
+	// PSNMode, which selects the domain transient solver algorithm).
 	Chip chip.Config
 	// NoC configures the network simulator.
 	NoC noc.Config
@@ -42,13 +43,6 @@ type Config struct {
 	// execute (paper Fig. 6/7); the oversubscription study (Fig. 8) keeps
 	// hard deadlines.
 	SoftDeadlines bool
-	// DisableNoCCache forces a full NoC warmup+measurement on every
-	// map/unmap event even when the active flow set and the sensor PSN
-	// environment are unchanged since the last measurement (serial
-	// reference mode for determinism tests and benchmarks). The chip-side
-	// measurement knobs live in Chip (PSNWorkers, DisablePSNCache, and
-	// PSNMode, which selects the domain transient solver algorithm).
-	DisableNoCCache bool
 	// VEModel selects how voltage emergencies become completion-time
 	// penalties. The zero value VELegacy keeps the closed-form expected
 	// penalty every recorded experiment table was produced with; VERollback
@@ -62,23 +56,22 @@ type Config struct {
 	// NoCFaultInjection installs a seeded noise-proportional packet-drop
 	// model in every NoC measurement, populating the per-flow drop,
 	// retransmission, recovery and loss counters aggregated in
-	// Metrics.NoCFaults. It forces DisableNoCCache: a memoized measurement
-	// would skip the drop model's random draws and desynchronize the
-	// stream.
+	// Metrics.NoCFaults. It forces the cycle path in every NoC mode: the
+	// drop model draws per simulated packet.
 	NoCFaultInjection bool
 	// NoCDropScale and NoCDropCap parameterize the drop model: probability
 	// scale per unit of threshold exceedance and its cap. Zero selects the
 	// noc.NewNoiseDropModel defaults (0.5 and 0.75).
 	NoCDropScale, NoCDropCap float64
-	// NoCMode selects the NoC measurement strategy (DESIGN.md §11). The
-	// zero value NoCModeCycle keeps cycle-accurate simulation with
-	// exact-input memoization — metrics stay byte-identical to the recorded
-	// experiments. NoCModeAuto quantizes the memo key so near-repeat mapper
-	// states hit the cache and answers uncongested windows with the
-	// closed-form analytic model, falling back to cycle simulation when any
-	// link's offered load exceeds NoC.SatLinkLoad; fault injection always
-	// forces the cycle path. NoCModeAnalytic answers every window with the
-	// closed form, congested or not — for model studies only.
+	// NoCMode selects the NoC measurement strategy (DESIGN.md §11). Every
+	// mode measures each window on the exact active flow list. The zero
+	// value NoCModeCycle simulates every window cycle by cycle — metrics
+	// stay byte-identical to the recorded experiments. NoCModeAuto answers
+	// uncongested windows with the closed-form analytic model, falling back
+	// to cycle simulation when any link's offered load exceeds
+	// NoC.SatLinkLoad; fault injection always forces the cycle path.
+	// NoCModeAnalytic answers every window with the closed form, congested
+	// or not — for model studies only.
 	NoCMode NoCMode
 }
 
@@ -86,10 +79,10 @@ type Config struct {
 type NoCMode int
 
 const (
-	// NoCModeCycle is the exact default: cycle simulation, exact memo keys.
+	// NoCModeCycle is the exact default: cycle simulation of every window.
 	NoCModeCycle NoCMode = iota
-	// NoCModeAuto uses the quantized memo plus the analytic fast path for
-	// uncongested windows, cycle simulation otherwise.
+	// NoCModeAuto uses the analytic fast path for uncongested windows,
+	// cycle simulation otherwise.
 	NoCModeAuto
 	// NoCModeAnalytic answers every window with the closed form.
 	NoCModeAnalytic
@@ -158,9 +151,6 @@ func (c Config) withDefaults() Config {
 	}
 	if c.FaultSeed == 0 {
 		c.FaultSeed = 1
-	}
-	if c.NoCFaultInjection {
-		c.DisableNoCCache = true
 	}
 	return c
 }
@@ -277,24 +267,10 @@ type Engine struct {
 	sensor     *pdn.Sensor
 	routerUtil []float64
 
-	// nocMemo holds recent NoC measurements with the exact inputs each was
-	// taken under. A measurement is a deterministic function of (config,
-	// routing, flow list, sensor PSN environment), so when those inputs
-	// recur the cycle-level warmup+measure is skipped and the stored
-	// result reused. Measurements happen at map/unmap events, which always
-	// change the flow set, so recurrence means returning to an *earlier*
-	// state — e.g. an app maps and completes, restoring the previous flow
-	// set under an unchanged quantized sensor environment — hence a small
-	// bounded history rather than a single entry.
-	nocMemo   []nocMemoEntry
-	nocHits   int
-	nocMisses int
 	// flowsBuf and idsBuf are reused across activeFlows calls to avoid
-	// rebuilding the flow list allocation on every event; quantBuf holds the
-	// quantized memo key in the non-cycle NoC modes.
+	// rebuilding the flow list allocation on every event.
 	flowsBuf []noc.Flow
 	idsBuf   []int
-	quantBuf []noc.Flow
 
 	// faultPlan supplies VERollback emergencies; nocFaults, when non-nil,
 	// is installed in every NoC measurement (NoCFaultInjection) and
@@ -368,17 +344,12 @@ func NewEngine(cfg Config, fw Framework) (*Engine, error) {
 // Chip exposes the platform for inspection (examples, tests).
 func (e *Engine) Chip() *chip.Chip { return e.chip }
 
-// NoCCacheStats reports how many NoC measurements were served from the memo
-// versus simulated cycle by cycle.
-func (e *Engine) NoCCacheStats() (hits, misses int) { return e.nocHits, e.nocMisses }
-
-// CollectCacheStats attaches the run's measurement-cache counters (the pdn
-// domain-solve cache and the NoC measurement memo) to m. Opt-in because the
-// pdn hit/miss split varies with the PSN worker count; see Metrics.PDNCache.
+// CollectCacheStats attaches the run's pdn domain-solve cache counters to
+// m. Opt-in because the hit/miss split varies with the PSN worker count;
+// see Metrics.PDNCache.
 func (e *Engine) CollectCacheStats(m *Metrics) {
 	cs := e.chip.PSNCacheStats()
 	m.PDNCache = &cs
-	m.NoCMemo = &NoCMemoStats{Hits: e.nocHits, Misses: e.nocMisses}
 }
 
 func (e *Engine) push(t float64, kind, app int) {
@@ -842,7 +813,7 @@ func (e *Engine) complete(ra *runningApp) error {
 // activeFlows gathers all running apps' flows in deterministic order and
 // returns the flow list plus, for the requested app, the index range of its
 // flows. The returned slice aliases e.flowsBuf and is only valid until the
-// next activeFlows call; measurementFor copies it before memoizing.
+// next activeFlows call.
 func (e *Engine) activeFlows(forApp *runningApp) ([]noc.Flow, int, int) {
 	ids := e.idsBuf[:0]
 	for id := range e.running {
@@ -866,97 +837,15 @@ func (e *Engine) activeFlows(forApp *runningApp) ([]noc.Flow, int, int) {
 	return flows, start, end
 }
 
-// flowsEqual reports whether two flow lists are element-wise identical.
-func flowsEqual(a, b []noc.Flow) bool {
-	if len(a) != len(b) {
-		return false
-	}
-	for i := range a {
-		if a[i] != b[i] {
-			return false
-		}
-	}
-	return true
-}
-
-// floatsEqual reports whether two float slices are bit-wise identical. This
-// is a memo-key comparison, not a numeric tolerance check: the NoC memo must
-// only hit when the sensor environment recurs exactly.
-func floatsEqual(a, b []float64) bool {
-	if len(a) != len(b) {
-		return false
-	}
-	for i := range a {
-		//parm:floateq
-		if a[i] != b[i] {
-			return false
-		}
-	}
-	return true
-}
-
-// nocMemoEntry is one remembered NoC measurement with its exact inputs.
-type nocMemoEntry struct {
-	flows []noc.Flow
-	psn   []float64
-	res   *noc.Result
-}
-
-// nocMemoCap bounds the measurement history. Recurrence comes from the
-// running set oscillating through recent states, so a short history
-// suffices; the linear key scan (flowsEqual on a handful of entries) is
-// negligible next to a warmup+measure cycle simulation.
-const nocMemoCap = 16
-
-// nocRateQuantum is the flow-rate grid of the quantized memo key used by
-// NoCModeAuto and NoCModeAnalytic: rates are snapped to multiples of 1/4096
-// flit/cycle before the memo lookup, so mapper states whose flow rates differ
-// by less than half a quantum share one measurement. The induced measurement
-// error is bounded by the drift tests (see DESIGN.md §11); NoCModeCycle keys
-// on exact rates and is unaffected.
-const nocRateQuantum = 1.0 / 4096
-
-// quantizedFlows returns flows with every rate snapped to the memo grid. The
-// result aliases e.quantBuf and is valid until the next call; measurementFor
-// copies it before memoizing.
-func (e *Engine) quantizedFlows(flows []noc.Flow) []noc.Flow {
-	q := append(e.quantBuf[:0], flows...)
-	for i := range q {
-		q[i].Rate = math.Round(q[i].Rate/nocRateQuantum) * nocRateQuantum
-	}
-	e.quantBuf = q
-	return q
-}
-
-// measurementFor returns the NoC measurement for the given non-empty flow
-// list: the memoized result when both the flow list and the sensor PSN
-// environment match a remembered measurement (the simulation is a
-// deterministic function of the two), a fresh window otherwise. In
-// NoCModeCycle the memo key is the exact flow list; the other modes key on
-// quantized rates so near-identical mapper states share a window.
+// measurementFor produces the NoC measurement window for the given
+// non-empty flow list and counts its flits.
 func (e *Engine) measurementFor(flows []noc.Flow) (*noc.Result, error) {
-	key := flows
-	if e.cfg.NoCMode != NoCModeCycle {
-		key = e.quantizedFlows(flows)
-	}
-	if !e.cfg.DisableNoCCache {
-		for i := range e.nocMemo {
-			m := &e.nocMemo[i]
-			if flowsEqual(m.flows, key) && floatsEqual(m.psn, e.env.PSN) {
-				e.nocHits++
-				e.tel.nocHits.Inc()
-				return m.res, nil
-			}
-		}
-	}
 	sp := e.timeline.StartSpan("noc_window", e.now, -1)
-	res, err := e.simulateWindow(key)
+	res, err := e.simulateWindow(flows)
 	e.timeline.EndSpan(sp, e.now)
 	if err != nil {
 		return nil, err
 	}
-	e.nocMisses++
-	e.tel.nocMisses.Inc()
 	var inj, del uint64
 	for i := range res.Flows {
 		inj += uint64(res.Flows[i].InjectedFlits)
@@ -964,21 +853,6 @@ func (e *Engine) measurementFor(flows []noc.Flow) (*noc.Result, error) {
 	}
 	e.tel.flitsInj.Add(inj)
 	e.tel.flitsDel.Add(del)
-	if e.cfg.DisableNoCCache {
-		return res, nil
-	}
-	// Copy the inputs: key aliases a reusable buffer and env.PSN is
-	// overwritten by the next PSN sample. Evict the oldest entry once full,
-	// recycling its slices.
-	var entry nocMemoEntry
-	if len(e.nocMemo) >= nocMemoCap {
-		entry = e.nocMemo[0]
-		e.nocMemo = append(e.nocMemo[:0], e.nocMemo[1:]...)
-	}
-	entry.flows = append(entry.flows[:0], key...)
-	entry.psn = append(entry.psn[:0], e.env.PSN...)
-	entry.res = res
-	e.nocMemo = append(e.nocMemo, entry)
 	return res, nil
 }
 
@@ -1030,8 +904,7 @@ func (e *Engine) simulateWindow(flows []noc.Flow) (*noc.Result, error) {
 	return res, nil
 }
 
-// measureNoC measures the network with all active flows (reusing the last
-// measurement when its inputs recur, see measurementFor), refreshes the
+// measureNoC measures the network with all active flows, refreshes the
 // chip-wide router utilization, and — if forApp is non-nil — returns its
 // per-edge communication delay function and average packet latency in
 // cycles.

@@ -96,14 +96,13 @@ type Metrics struct {
 
 	Apps []AppOutcome
 
-	// PDNCache and NoCMemo optionally carry the run's measurement-cache
-	// counters (Engine.CollectCacheStats). They stay nil unless the caller
-	// asks for them: cache hit/miss splits depend on the PSN worker count
-	// (concurrent misses on one key race), so they are kept out of the
-	// simulation results that the bit-identical determinism contract covers
-	// and serialized only when present.
+	// PDNCache optionally carries the run's domain-solve cache counters
+	// (Engine.CollectCacheStats). It stays nil unless the caller asks for
+	// it: the hit/miss split depends on the PSN worker count (concurrent
+	// misses on one key race), so it is kept out of the simulation results
+	// that the bit-identical determinism contract covers and serialized
+	// only when present.
 	PDNCache *pdn.CacheStats
-	NoCMemo  *NoCMemoStats
 
 	// NoCFaults aggregates the packet-fault counters of every NoC
 	// measurement window in the run. Nil unless Config.NoCFaultInjection is
@@ -117,12 +116,6 @@ type Metrics struct {
 // and lost for good.
 type NoCFaultStats struct {
 	Delivered, Dropped, Retransmitted, Recovered, Lost int
-}
-
-// NoCMemoStats counts NoC measurements served from the engine's measurement
-// memo versus simulated cycle by cycle.
-type NoCMemoStats struct {
-	Hits, Misses int
 }
 
 // SuccessRate returns the fraction of applications completed.

@@ -1,6 +1,7 @@
 package core
 
 import (
+	"bytes"
 	"math"
 	"testing"
 
@@ -61,8 +62,8 @@ func TestParseNoCMode(t *testing.T) {
 
 // TestNoCModesAgree runs one workload under all three NoC modes and bounds
 // the drift the fast paths may introduce. The cycle mode is the exact
-// reference; auto answers uncongested windows analytically and quantizes the
-// memo key; analytic answers every window with the closed form. The bounds
+// reference; auto answers uncongested windows analytically; analytic
+// answers every window with the closed form. The bounds
 // here are the engine-level drift contract documented in DESIGN.md §11.
 func TestNoCModesAgree(t *testing.T) {
 	w := genWorkload(t, appmodel.WorkloadMixed, 12, 0.05, 7)
@@ -79,7 +80,7 @@ func TestNoCModesAgree(t *testing.T) {
 	}
 	// Per-mode drift bounds. Auto falls back to cycle simulation on every
 	// saturated window, so its drift comes only from sub-saturation model
-	// error plus memo quantization. Analytic answers saturated windows with
+	// error. Analytic answers saturated windows with
 	// the clamped closed form too — out of the model's validity range — so
 	// its contract is looser, dominated by the clamped M/D/1 waiting terms.
 	for _, tc := range []struct {
@@ -129,48 +130,28 @@ func TestCycleModeUnaffectedByModeField(t *testing.T) {
 	}
 }
 
-// TestQuantizedMemoHits exercises the quantized memo key directly: two flow
-// lists whose rates differ by less than half a quantum must share one
-// measurement in the non-cycle modes, and must not in cycle mode.
-func TestQuantizedMemoHits(t *testing.T) {
-	fw, err := Combo("PARM", "XY")
+// TestAutoFaultInjectionMatchesCycle pins the NoCFaultInjection contract:
+// the drop model forces the cycle path in every mode, so an auto run with
+// fault injection measures the same windows on the same exact flow rates as
+// a cycle run and serializes to the same bytes.
+func TestAutoFaultInjectionMatchesCycle(t *testing.T) {
+	fw, err := Combo("PARM", "PANR")
 	if err != nil {
 		t.Fatal(err)
 	}
-	// Base rates sit exactly on the quantization grid, so a perturbation
-	// below quantum/2 snaps back to the same point and a full quantum moves
-	// to the neighboring one.
-	mkFlows := func(eps float64) []noc.Flow {
-		return []noc.Flow{
-			{App: 1, Src: geom.TileID(3), Dst: geom.TileID(27), Rate: 82*nocRateQuantum + eps},
-			{App: 1, Src: geom.TileID(27), Dst: geom.TileID(41), Rate: 20*nocRateQuantum + eps},
+	run := func(mode NoCMode) []byte {
+		cfg := Config{NoCFaultInjection: true, NoCMode: mode}
+		cfg.Chip.PSNWorkers = 1
+		m := runOne(t, cfg, fw, genWorkload(t, appmodel.WorkloadComm, 6, 0.05, 3))
+		var buf bytes.Buffer
+		if err := m.WriteJSON(&buf); err != nil {
+			t.Fatal(err)
 		}
+		return buf.Bytes()
 	}
-	const eps = nocRateQuantum / 4
-	for _, tc := range []struct {
-		mode     NoCMode
-		wantHits int
-	}{{NoCModeCycle, 0}, {NoCModeAuto, 1}, {NoCModeAnalytic, 1}} {
-		e, err := NewEngine(Config{NoCMode: tc.mode}, fw)
-		if err != nil {
-			t.Fatal(err)
-		}
-		if _, err := e.measurementFor(mkFlows(0)); err != nil {
-			t.Fatal(err)
-		}
-		if _, err := e.measurementFor(mkFlows(eps)); err != nil {
-			t.Fatal(err)
-		}
-		if e.nocHits != tc.wantHits {
-			t.Errorf("%v: memo hits = %d, want %d", tc.mode, e.nocHits, tc.wantHits)
-		}
-		// A perturbation beyond half a quantum must miss in every mode.
-		if _, err := e.measurementFor(mkFlows(nocRateQuantum)); err != nil {
-			t.Fatal(err)
-		}
-		if e.nocHits != tc.wantHits {
-			t.Errorf("%v: full-quantum perturbation hit the memo", tc.mode)
-		}
+	cycle, auto := run(NoCModeCycle), run(NoCModeAuto)
+	if !bytes.Equal(auto, cycle) {
+		t.Errorf("auto with fault injection diverged from cycle:\n auto  %s\n cycle %s", auto, cycle)
 	}
 }
 

@@ -5,7 +5,6 @@ import (
 
 	"parm/internal/appmodel"
 	"parm/internal/chip"
-	"parm/internal/noc"
 )
 
 // kneeBench is a synthetic communication-intensive benchmark whose WCET
@@ -72,13 +71,13 @@ func TestAlgorithm1ScansPastSyncKnee(t *testing.T) {
 
 // The parallel, cached measurement pipeline must produce bit-identical
 // metrics to the serial, uncached reference on the same workload — the
-// tentpole determinism contract (quantization is applied in both paths, the
-// caches key on exact inputs, and aggregation is ordered by domain index).
+// determinism contract (load quantization is applied in both paths, the
+// solve cache keys on exact inputs, and aggregation is ordered by domain
+// index).
 func TestPipelineSerialParallelDeterministic(t *testing.T) {
 	serial := Config{
-		SoftDeadlines:   true,
-		DisableNoCCache: true,
-		Chip:            chip.Config{PSNWorkers: 1, DisablePSNCache: true},
+		SoftDeadlines: true,
+		Chip:          chip.Config{PSNWorkers: 1, DisablePSNCache: true},
 	}
 	parallel := Config{SoftDeadlines: true} // default: pooled workers + caches
 
@@ -117,90 +116,8 @@ func TestPipelineSerialParallelDeterministic(t *testing.T) {
 	}
 
 	// The fast path must actually have been exercised, or this test proves
-	// nothing about the caches. NoC memo hits need the exact (flows, PSN)
-	// pair to recur, which is workload-dependent, so only population is
-	// asserted here; hit semantics are covered by TestNoCMeasurementMemo.
+	// nothing about the cache.
 	if eng.Chip().PSNCacheStats().Hits == 0 {
 		t.Error("PSN solve cache never hit")
-	}
-	if _, misses := eng.NoCCacheStats(); misses == 0 {
-		t.Error("NoC memo never populated")
-	}
-}
-
-// The NoC measurement memo returns the stored result exactly when both the
-// flow list and the sensor PSN environment recur, re-simulates otherwise,
-// and forgets entries once the bounded history evicts them.
-func TestNoCMeasurementMemo(t *testing.T) {
-	eng, err := NewEngine(Config{}, MustCombo("PARM", "PANR"))
-	if err != nil {
-		t.Fatal(err)
-	}
-	flows := []noc.Flow{
-		{App: 1, Src: 0, Dst: 5, Rate: 0.05},
-		{App: 1, Src: 5, Dst: 12, Rate: 0.02},
-	}
-	r1, err := eng.measurementFor(flows)
-	if err != nil {
-		t.Fatal(err)
-	}
-	r2, err := eng.measurementFor(flows)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if r2 != r1 {
-		t.Error("identical inputs re-simulated")
-	}
-	if eng.nocHits != 1 || eng.nocMisses != 1 {
-		t.Fatalf("stats hits=%d misses=%d, want 1/1", eng.nocHits, eng.nocMisses)
-	}
-
-	// A changed sensor environment is a different measurement (PANR routing
-	// reads env.PSN), even with the same flows.
-	eng.env.PSN[3] += 0.01
-	if _, err := eng.measurementFor(flows); err != nil {
-		t.Fatal(err)
-	}
-	if eng.nocMisses != 2 {
-		t.Error("changed PSN environment served from memo")
-	}
-	// Restoring the environment finds the original entry again.
-	eng.env.PSN[3] -= 0.01
-	if _, err := eng.measurementFor(flows); err != nil {
-		t.Fatal(err)
-	}
-	if eng.nocHits != 2 {
-		t.Error("restored (flows, PSN) state missed the memo")
-	}
-
-	// Flood the bounded history: the oldest entries are evicted and
-	// re-simulated on their next appearance.
-	for i := 0; i < nocMemoCap; i++ {
-		other := []noc.Flow{{App: 2 + i, Src: 1, Dst: 8, Rate: 0.01}}
-		if _, err := eng.measurementFor(other); err != nil {
-			t.Fatal(err)
-		}
-	}
-	misses := eng.nocMisses
-	if _, err := eng.measurementFor(flows); err != nil {
-		t.Fatal(err)
-	}
-	if eng.nocMisses != misses+1 {
-		t.Error("evicted entry still served from memo")
-	}
-
-	// DisableNoCCache keeps the serial reference path memo-free.
-	ref, err := NewEngine(Config{DisableNoCCache: true}, MustCombo("PARM", "PANR"))
-	if err != nil {
-		t.Fatal(err)
-	}
-	for i := 0; i < 2; i++ {
-		if _, err := ref.measurementFor(flows); err != nil {
-			t.Fatal(err)
-		}
-	}
-	if ref.nocHits != 0 || ref.nocMisses != 2 || len(ref.nocMemo) != 0 {
-		t.Errorf("disabled memo still active: hits=%d misses=%d entries=%d",
-			ref.nocHits, ref.nocMisses, len(ref.nocMemo))
 	}
 }

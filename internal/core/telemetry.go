@@ -24,9 +24,7 @@ type telemetry struct {
 	waitS       *obs.Histogram // mapper/wait_s: queue time at mapping, seconds
 
 	// NoC measurement path (engine-side).
-	nocHits     *obs.Counter // noc/memo/hits
-	nocMisses   *obs.Counter // noc/memo/misses
-	nocWindows  *obs.Counter // noc/windows: measurements actually produced
+	nocWindows  *obs.Counter // noc/windows: every measured window
 	nocAnalytic *obs.Counter // noc/analytic_windows: windows answered by the closed form
 	nocFallback *obs.Counter // noc/analytic_fallbacks: saturated windows sent back to cycle sim
 	warmupCyc   *obs.Counter // noc/warmup_cycles
@@ -65,8 +63,6 @@ func (t *telemetry) init(r *obs.Registry, scheme string, numDomains int) {
 	t.queueDepth = r.Gauge("mapper/queue_depth")
 	t.waitS = r.Histogram("mapper/wait_s", []float64{0.01, 0.05, 0.1, 0.5, 1, 5})
 
-	t.nocHits = r.Counter("noc/memo/hits")
-	t.nocMisses = r.Counter("noc/memo/misses")
 	t.nocWindows = r.Counter("noc/windows")
 	t.nocAnalytic = r.Counter("noc/analytic_windows")
 	t.nocFallback = r.Counter("noc/analytic_fallbacks")

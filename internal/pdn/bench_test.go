@@ -28,7 +28,7 @@ func BenchmarkSimulateDomain(b *testing.B) {
 func BenchmarkDomainSolve(b *testing.B) {
 	p := power.MustParams(power.Node7)
 	loads := BuildLoads(occupantsForBench(p))
-	for _, m := range []Mode{ModeRK4, ModeExpm, ModePhasor} {
+	for _, m := range []Mode{ModeRK4, ModePhasor} {
 		b.Run(m.String(), func(b *testing.B) {
 			cfg := Config{Params: p, Vdd: 0.5, Mode: m}
 			s := NewSolver(nil) // uncached: every iteration solves in full

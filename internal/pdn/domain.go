@@ -66,48 +66,31 @@ type TileLoad struct {
 }
 
 // Mode selects the transient solver algorithm. The domain circuit is
-// linear time-invariant, so ModeExpm and ModePhasor solve it exactly;
-// ModeRK4 is the numerical-integration reference they are cross-checked
-// against (TestModesAgree). All modes measure the same sampling grid and
-// are individually deterministic (bit-identical results for identical
-// inputs).
+// linear time-invariant, so ModePhasor solves it exactly; ModeRK4 is the
+// numerical-integration reference it is cross-checked against
+// (TestModesAgree). Both modes measure the same sampling grid and are
+// individually deterministic (bit-identical results for identical inputs).
 type Mode uint8
 
 const (
-	// ModeAuto resolves to ModePhasor, the fastest exact path.
-	ModeAuto Mode = iota
+	// ModePhasor, the zero value, evaluates the periodic steady state
+	// directly on the sampling grid from per-harmonic complex admittance
+	// solves, with no time stepping at all.
+	ModePhasor Mode = iota
 	// ModeRK4 integrates the transient with classic Runge-Kutta 4.
 	ModeRK4
-	// ModeExpm steps the exact discrete solution x_{k+1} = Φ·x_k + forced
-	// response, with Φ = exp(A·h) from scaling-and-squaring + Padé.
-	ModeExpm
-	// ModePhasor evaluates the periodic steady state directly on the
-	// sampling grid from per-harmonic complex admittance solves, with no
-	// time stepping at all.
-	ModePhasor
 )
 
-// String returns "auto", "rk4", "expm" or "phasor".
+// String returns "phasor" or "rk4".
 func (m Mode) String() string {
 	switch m {
-	case ModeRK4:
-		return "rk4"
-	case ModeExpm:
-		return "expm"
 	case ModePhasor:
 		return "phasor"
+	case ModeRK4:
+		return "rk4"
 	default:
-		return "auto"
+		return fmt.Sprintf("Mode(%d)", int(m))
 	}
-}
-
-// resolved maps ModeAuto to the concrete default algorithm. Solve-cache
-// keys store the resolved mode, so auto and its target share cache entries.
-func (m Mode) resolved() Mode {
-	if m == ModeAuto {
-		return ModePhasor
-	}
-	return m
 }
 
 // Config parameterizes one transient domain simulation.
@@ -124,8 +107,8 @@ type Config struct {
 	// waveform. Zero selects 125 MHz, near the package LC resonance where
 	// droop is worst.
 	BurstHz float64
-	// Mode selects the solver algorithm. The zero value (ModeAuto) selects
-	// the phasor steady-state fast path.
+	// Mode selects the solver algorithm. The zero value (ModePhasor)
+	// selects the exact steady-state fast path.
 	Mode Mode
 }
 
@@ -139,7 +122,6 @@ func (c Config) withDefaults() Config {
 	if c.BurstHz <= 0 {
 		c.BurstHz = 125e6
 	}
-	c.Mode = c.Mode.resolved()
 	return c
 }
 
@@ -424,7 +406,7 @@ func validate(cfg Config, loads [DomainTiles]TileLoad) error {
 	if p.RBump <= 0 || p.LBump <= 0 || p.RGrid <= 0 || p.CDecap <= 0 {
 		return fmt.Errorf("pdn: non-physical node parameters %+v", p)
 	}
-	if cfg.Mode > ModePhasor {
+	if cfg.Mode > ModeRK4 {
 		return fmt.Errorf("pdn: unknown solver mode %d", cfg.Mode)
 	}
 	for i, ld := range loads {
@@ -453,20 +435,16 @@ func SimulateDomain(cfg Config, loads [DomainTiles]TileLoad) (Result, error) {
 // simulate dispatches one validated, defaulted solve to the algorithm
 // selected by cfg.Mode. scratch supplies the reusable buffers; caches (nil
 // for the one-shot path) memoizes the load-independent electrical
-// factorizations the exact modes reuse across solves.
+// factorizations the phasor path reuses across solves.
 func simulate(cfg Config, loads [DomainTiles]TileLoad, scratch *solverScratch, caches *ltiCaches) (Result, error) {
-	switch cfg.Mode {
-	case ModeExpm:
-		return simulateExpm(cfg, loads, scratch, caches)
-	case ModePhasor:
-		return simulatePhasor(cfg, loads, scratch, caches)
-	default:
+	if cfg.Mode == ModeRK4 {
 		return simulateRK4(cfg, loads, scratch)
 	}
+	return simulatePhasor(cfg, loads, scratch, caches)
 }
 
 // simulateRK4 is the numerical-integration reference path: classic RK4
-// over the tabulated current waveforms. The exact modes are cross-checked
+// over the tabulated current waveforms. The phasor path is cross-checked
 // against it. cfg must have defaults applied and inputs validated.
 //
 //parm:hot

@@ -33,15 +33,12 @@ func ltiTestLoads(p power.NodeParams, vdd power.Volts) map[string][DomainTiles]T
 	}
 }
 
-// Cross-check of the exact solver modes against the RK4 reference, across
-// every technology node and the load-signature grid. The expm mode solves
-// the same initial-value problem as RK4 exactly, so it must agree to the
-// integrator's truncation error; the phasor mode drops the decaying
-// start-up transient, so it is held to the looser steady-state bound the
-// acceptance criterion names (1e-3 absolute on PeakPSN).
+// Cross-check of the exact phasor solver against the RK4 reference, across
+// every technology node and the load-signature grid. The phasor mode drops
+// the decaying start-up transient, so it is held to the steady-state bound
+// the acceptance criterion names (1e-3 absolute on PeakPSN).
 func TestModesAgree(t *testing.T) {
 	const (
-		expmTol       = 1e-6 // rk4 truncation at h=20ps
 		steadyPeakTol = 1e-3 // residual transient in the measured window
 		steadyAvgTol  = 1e-3
 	)
@@ -58,16 +55,8 @@ func TestModesAgree(t *testing.T) {
 					}
 					return r
 				}
-				rk4, expm, ph := run(ModeRK4), run(ModeExpm), run(ModePhasor)
+				rk4, ph := run(ModeRK4), run(ModePhasor)
 				for i := 0; i < DomainTiles; i++ {
-					if d := math.Abs(rk4.PeakPSN[i] - expm.PeakPSN[i]); d > expmTol {
-						t.Errorf("%v %s vdd=%.2f tile %d: |rk4-expm| peak dev %.3g > %g",
-							n, name, float64(vdd), i, d, expmTol)
-					}
-					if d := math.Abs(rk4.AvgPSN[i] - expm.AvgPSN[i]); d > expmTol {
-						t.Errorf("%v %s vdd=%.2f tile %d: |rk4-expm| avg dev %.3g > %g",
-							n, name, float64(vdd), i, d, expmTol)
-					}
 					if d := math.Abs(rk4.PeakPSN[i] - ph.PeakPSN[i]); d > steadyPeakTol {
 						t.Errorf("%v %s vdd=%.2f tile %d: |rk4-phasor| peak dev %.3g > %g",
 							n, name, float64(vdd), i, d, steadyPeakTol)
@@ -88,7 +77,7 @@ func TestModesAgree(t *testing.T) {
 func TestModesDeterministic(t *testing.T) {
 	p := power.MustParams(power.Node7)
 	loads := ltiTestLoads(p, 0.5)["mixed"]
-	for _, m := range []Mode{ModeRK4, ModeExpm, ModePhasor} {
+	for _, m := range []Mode{ModeRK4, ModePhasor} {
 		cfg := Config{Params: p, Vdd: 0.5, Mode: m}
 		ref, err := SimulateDomain(cfg, loads)
 		if err != nil {
@@ -124,36 +113,6 @@ func TestModesDeterministic(t *testing.T) {
 	}
 }
 
-// ModeAuto resolves to the phasor fast path and shares its cache entries.
-func TestModeAutoIsPhasor(t *testing.T) {
-	p := power.MustParams(power.Node7)
-	loads := ltiTestLoads(p, 0.5)["aligned"]
-	auto, err := SimulateDomain(Config{Params: p, Vdd: 0.5}, loads)
-	if err != nil {
-		t.Fatal(err)
-	}
-	ph, err := SimulateDomain(Config{Params: p, Vdd: 0.5, Mode: ModePhasor}, loads)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if auto != ph {
-		t.Error("ModeAuto result differs from ModePhasor")
-	}
-	s := NewSolver(NewSolveCache())
-	if _, err := s.SimulateDomain(Config{Params: p, Vdd: 0.5}, loads); err != nil {
-		t.Fatal(err)
-	}
-	if _, err := s.SimulateDomain(Config{Params: p, Vdd: 0.5, Mode: ModePhasor}, loads); err != nil {
-		t.Fatal(err)
-	}
-	if st := s.cache.Stats(); st.Hits != 1 || st.Entries != 1 {
-		t.Errorf("auto and phasor use distinct cache entries: %+v", st)
-	}
-	if ModeRK4.resolved() != ModeRK4 {
-		t.Error("resolved() rewrote an explicit mode")
-	}
-}
-
 // Unknown mode values are rejected, not silently defaulted.
 func TestUnknownModeRejected(t *testing.T) {
 	p := power.MustParams(power.Node7)
@@ -164,7 +123,7 @@ func TestUnknownModeRejected(t *testing.T) {
 
 func TestModeString(t *testing.T) {
 	for m, want := range map[Mode]string{
-		ModeAuto: "auto", ModeRK4: "rk4", ModeExpm: "expm", ModePhasor: "phasor",
+		ModePhasor: "phasor", ModeRK4: "rk4", Mode(99): "Mode(99)",
 	} {
 		if got := m.String(); got != want {
 			t.Errorf("Mode(%d).String() = %q, want %q", m, got, want)
@@ -229,86 +188,6 @@ func TestLTIMatrixMatchesDeriv(t *testing.T) {
 	}
 }
 
-// expm6 unit checks: exp(0) = I, exp of a diagonal matrix, the semigroup
-// property exp(2A) = exp(A)², and rejection of non-finite input.
-func TestExpm6(t *testing.T) {
-	var zero [ltiStates][ltiStates]float64
-	phi, err := expm6(&zero)
-	if err != nil {
-		t.Fatal(err)
-	}
-	for i := range phi {
-		for j := range phi[i] {
-			want := 0.0
-			if i == j {
-				want = 1
-			}
-			if math.Abs(phi[i][j]-want) > 1e-14 {
-				t.Errorf("exp(0)[%d][%d] = %g", i, j, phi[i][j])
-			}
-		}
-	}
-
-	var diag [ltiStates][ltiStates]float64
-	d := [ltiStates]float64{-1, 0.5, 2, -3, 0, 7}
-	for i, v := range d {
-		diag[i][i] = v
-	}
-	phi, err = expm6(&diag)
-	if err != nil {
-		t.Fatal(err)
-	}
-	for i := range phi {
-		for j := range phi[i] {
-			want := 0.0
-			if i == j {
-				want = math.Exp(d[i])
-			}
-			if math.Abs(phi[i][j]-want) > 1e-12*(1+want) {
-				t.Errorf("exp(diag)[%d][%d] = %g, want %g", i, j, phi[i][j], want)
-			}
-		}
-	}
-
-	p := power.MustParams(power.Node7)
-	c := newCircuit(Config{Params: p, Vdd: 0.5}.withDefaults(), [DomainTiles]TileLoad{})
-	a := c.ltiMatrix()
-	h := 20e-12
-	var ah, a2h [ltiStates][ltiStates]float64
-	for i := range a {
-		for j := range a[i] {
-			ah[i][j] = a[i][j] * h
-			a2h[i][j] = a[i][j] * 2 * h
-		}
-	}
-	phiH, err := expm6(&ah)
-	if err != nil {
-		t.Fatal(err)
-	}
-	phi2H, err := expm6(&a2h)
-	if err != nil {
-		t.Fatal(err)
-	}
-	sq := mul6(&phiH, &phiH)
-	for i := range sq {
-		for j := range sq[i] {
-			if math.Abs(sq[i][j]-phi2H[i][j]) > 1e-9*(1+math.Abs(phi2H[i][j])) {
-				t.Errorf("semigroup violated at [%d][%d]: %g vs %g", i, j, sq[i][j], phi2H[i][j])
-			}
-		}
-	}
-
-	bad := zero
-	bad[3][4] = math.NaN()
-	if _, err := expm6(&bad); err == nil {
-		t.Error("NaN input accepted")
-	}
-	bad[3][4] = math.Inf(1)
-	if _, err := expm6(&bad); err == nil {
-		t.Error("Inf input accepted")
-	}
-}
-
 // The admittance factorization solves (jωI - A)X = F: multiply back and
 // compare.
 func TestAdmittanceFactorization(t *testing.T) {
@@ -336,29 +215,23 @@ func TestAdmittanceFactorization(t *testing.T) {
 	}
 }
 
-// The per-solver electrical caches hit across load signatures and Vdd: a
+// The per-solver admittance cache hits across load signatures and Vdd: a
 // second solve at a different Vdd and load reuses the factorizations.
 func TestLTICacheReuse(t *testing.T) {
 	p := power.MustParams(power.Node7)
 	s := NewSolver(nil)
-	if _, err := s.SimulateDomain(Config{Params: p, Vdd: 0.5, Mode: ModeExpm}, ltiTestLoads(p, 0.5)["mixed"]); err != nil {
+	if _, err := s.SimulateDomain(Config{Params: p, Vdd: 0.5}, ltiTestLoads(p, 0.5)["mixed"]); err != nil {
 		t.Fatal(err)
 	}
-	nPhi, nFac := len(s.lti.phi), len(s.lti.factor)
-	if nPhi != 1 {
-		t.Fatalf("expected one cached propagator, got %d", nPhi)
-	}
+	nFac := len(s.lti.factor)
 	if nFac == 0 {
 		t.Fatal("no cached admittance factorizations")
 	}
-	if _, err := s.SimulateDomain(Config{Params: p, Vdd: 0.7, Mode: ModeExpm}, ltiTestLoads(p, 0.7)["staggered"]); err != nil {
+	if _, err := s.SimulateDomain(Config{Params: p, Vdd: 0.7}, ltiTestLoads(p, 0.7)["staggered"]); err != nil {
 		t.Fatal(err)
 	}
-	if len(s.lti.phi) != nPhi {
-		t.Errorf("Vdd change grew the propagator cache: %d -> %d", nPhi, len(s.lti.phi))
-	}
 	// staggered High tiles burst at the same two harmonic frequencies the
-	// mixed signature already used, so no new factorizations either.
+	// mixed signature already used, so no new factorizations.
 	if len(s.lti.factor) != nFac {
 		t.Errorf("same-frequency solve grew the factor cache: %d -> %d", nFac, len(s.lti.factor))
 	}

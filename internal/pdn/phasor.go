@@ -1,15 +1,12 @@
-// Exact solvers for the domain transient: matrix-exponential stepping
-// (ModeExpm) and the phasor steady-state fast path (ModePhasor). Both rest
-// on the same decomposition: the forcing of the LTI system dx/dt = A·x +
-// u(t) is a DC term plus at most two sinusoidal harmonics per tile, so the
-// solution splits into a particular part x_p(t) — the DC operating point
-// plus one complex phasor response per distinct harmonic frequency — and a
-// homogeneous part that evolves exactly as w(t+h) = Φ·w(t) with Φ =
-// exp(A·h). ModeExpm steps the full decomposition from the DC initial
-// condition; ModePhasor drops the decaying homogeneous part and evaluates
+// Exact steady-state solver for the domain transient (ModePhasor). The
+// forcing of the LTI system dx/dt = A·x + u(t) is a DC term plus at most two
+// sinusoidal harmonics per tile, so the solution splits into a particular
+// part x_p(t) — the DC operating point plus one complex phasor response per
+// distinct harmonic frequency — and a homogeneous part that decays because
+// A is Hurwitz. ModePhasor drops the decaying homogeneous part and evaluates
 // the periodic steady state directly on the sampling grid, which is
 // legitimate because the measurement window already discards a settle
-// prefix and targets steady switching noise (DESIGN.md §8 derives both).
+// prefix and targets steady switching noise (DESIGN.md §8 derives it).
 package pdn
 
 import (
@@ -80,66 +77,24 @@ func (c *circuit) addHarmonic(hs *harmonicSet, omega, amp, phase float64, tile i
 	hs.force[idx][2+tile] += complex(-amp/c.cd*s, amp/c.cd*co)
 }
 
-// phiKey identifies one cached step propagator Φ = exp(A·h): the state
-// matrix depends only on the technology node's element values, and h is the
-// integration step. Vdd and the load signature never enter A.
-type phiKey struct {
-	params power.NodeParams
-	dt     power.Seconds
-}
-
 // facKey identifies one cached admittance factorization (jωI - A).
 type facKey struct {
 	params power.NodeParams
 	omega  float64
 }
 
-// ltiCaches memoizes the load-independent electrical factorizations a
-// Solver reuses across solves: the step propagator per (node, h) and the
-// complex LU per (node, ω). Algorithm 1's candidate scan revisits the same
-// technology node and the same two class burst frequencies for every
-// (Vdd, DoP, mapping) candidate, so after the first few solves every entry
-// hits and the exact solver's setup cost amortizes to near-free. The maps
-// are per-Solver (Solvers are single-threaded) and bounded by the handful
-// of distinct nodes and burst frequencies a run can see.
+// ltiCaches memoizes the load-independent electrical factorization a
+// Solver reuses across solves: the complex LU per (node, ω). Algorithm 1's
+// candidate scan revisits the same technology node and the same two class
+// burst frequencies for every (Vdd, DoP, mapping) candidate, so after the
+// first few solves every entry hits and the exact solver's setup cost
+// amortizes to near-free. The map is per-Solver (Solvers are
+// single-threaded) and bounded by the handful of distinct nodes and burst
+// frequencies a run can see.
 type ltiCaches struct {
-	phi    map[phiKey]*[ltiStates][ltiStates]float64
 	factor map[facKey]*cluFactor
 	// Telemetry counters set by Solver.Instrument; nil discards updates.
-	phiHits, phiMisses, facHits, facMisses *obs.Counter
-}
-
-// phiFor returns the cached Φ = exp(A·dt) for the circuit, computing and
-// memoizing it on first use. A nil receiver (the uncached package-level
-// path) computes without storing.
-func (lc *ltiCaches) phiFor(c *circuit, params power.NodeParams, dt power.Seconds) (*[ltiStates][ltiStates]float64, error) {
-	if lc != nil {
-		if phi, ok := lc.phi[phiKey{params, dt}]; ok {
-			lc.phiHits.Inc()
-			return phi, nil
-		}
-		lc.phiMisses.Inc()
-	}
-	a := c.ltiMatrix()
-	h := float64(dt)
-	for i := range a {
-		for j := range a[i] {
-			a[i][j] *= h
-		}
-	}
-	phi, err := expm6(&a)
-	if err != nil {
-		return nil, err
-	}
-	if lc != nil {
-		if lc.phi == nil {
-			lc.phi = make(map[phiKey]*[ltiStates][ltiStates]float64)
-		}
-		lc.phi[phiKey{params, dt}] = &phi
-		return lc.phi[phiKey{params, dt}], nil
-	}
-	out := phi
-	return &out, nil
+	facHits, facMisses *obs.Counter
 }
 
 // factorFor returns the cached LU of (jωI - A), computing and memoizing it
@@ -284,88 +239,6 @@ func simulatePhasor(cfg Config, loads [DomainTiles]TileLoad, scratch *solverScra
 		for k := 0; k < nh; k++ {
 			zr[k], zi[k] = zr[k]*rr[k]-zi[k]*ri[k], zr[k]*ri[k]+zi[k]*rr[k]
 		}
-	}
-	return acc.result(steps), nil
-}
-
-// simulateExpm steps the exact discrete-time solution from the DC operating
-// point: x(t) = x_p(t) + w(t) with w advanced by one 6x6 multiply with Φ =
-// exp(A·h) per step. It is the RK4 trajectory with the truncation error
-// removed — including the start-up transient the phasor path drops — and
-// serves as the bridge between the two (TestModesAgree pins all three
-// pairwise).
-//
-//parm:hot
-func simulateExpm(cfg Config, loads [DomainTiles]TileLoad, scratch *solverScratch, caches *ltiCaches) (Result, error) {
-	c := newCircuit(cfg, loads)
-	st0, err := c.dcOperatingPoint(scratch)
-	if err != nil {
-		return Result{}, err
-	}
-	var hs harmonicSet
-	c.harmonics(&hs)
-	if err := c.solvePhasors(cfg, &hs, caches); err != nil {
-		return Result{}, err
-	}
-	phi, err := caches.phiFor(&c, cfg.Params, cfg.Dt)
-	if err != nil {
-		return Result{}, err
-	}
-
-	steps := int(cfg.Duration / cfg.Dt)
-	if steps < 1 {
-		steps = 1
-	}
-	settle := steps / 8
-	h := float64(cfg.Dt)
-
-	// Homogeneous state w(0) = x(0) - x_p(0): the DC initial condition
-	// minus the particular solution at t=0 leaves -Σ_k Re(X_k).
-	var w [ltiStates]float64
-	for k := 0; k < hs.n; k++ {
-		for j := 0; j < ltiStates; j++ {
-			w[j] -= real(hs.resp[k][j])
-		}
-	}
-	var zr, zi, rr, ri [maxHarmonics]float64
-	var cr, ci [maxHarmonics][DomainTiles]float64
-	for k := 0; k < hs.n; k++ {
-		zr[k], zi[k] = 1, 0
-		s, co := math.Sincos(hs.omega[k] * h)
-		rr[k], ri[k] = co, s
-		for i := 0; i < DomainTiles; i++ {
-			cr[k][i] = real(hs.resp[k][2+i])
-			ci[k][i] = imag(hs.resp[k][2+i])
-		}
-	}
-	acc := newPSNAccum(float64(cfg.Vdd))
-	nh := hs.n
-	for n := 0; n < steps; n++ {
-		// Advance to t = (n+1)h: w by the propagator, the oscillators by
-		// one rotation.
-		var wn [ltiStates]float64
-		for i := 0; i < ltiStates; i++ {
-			s := 0.0
-			for j := 0; j < ltiStates; j++ {
-				s += phi[i][j] * w[j]
-			}
-			wn[i] = s
-		}
-		w = wn
-		for k := 0; k < nh; k++ {
-			zr[k], zi[k] = zr[k]*rr[k]-zi[k]*ri[k], zr[k]*ri[k]+zi[k]*rr[k]
-		}
-		if n < settle {
-			continue
-		}
-		for i := 0; i < DomainTiles; i++ {
-			v := st0.vt[i] + w[2+i]
-			for k := 0; k < nh; k++ {
-				v += cr[k][i]*zr[k] - ci[k][i]*zi[k]
-			}
-			acc.record(i, v)
-		}
-		acc.points++
 	}
 	return acc.result(steps), nil
 }

@@ -55,7 +55,7 @@ type solveKey struct {
 	dt       power.Seconds
 	duration power.Seconds
 	burstHz  float64
-	mode     Mode // resolved (never ModeAuto), so auto and phasor share entries
+	mode     Mode
 	loads    [DomainTiles]TileLoad
 }
 
@@ -153,14 +153,13 @@ func (c *SolveCache) Stats() CacheStats {
 type Solver struct {
 	cache   *SolveCache
 	scratch solverScratch
-	// lti memoizes the load-independent electrical factorizations (step
-	// propagators, admittance LUs) the exact solver modes reuse across
-	// solves — these hit even when the solve cache misses on a new load
-	// signature.
+	// lti memoizes the load-independent admittance LUs the phasor path
+	// reuses across solves — these hit even when the solve cache misses on
+	// a new load signature.
 	lti ltiCaches
-	// modeObs counts solves per resolved mode (index by cfg.Mode after
-	// withDefaults); nil entries discard updates.
-	modeObs [ModePhasor + 1]*obs.Counter
+	// modeObs counts solves per mode (index by the validated cfg.Mode);
+	// nil entries discard updates.
+	modeObs [ModeRK4 + 1]*obs.Counter
 }
 
 // NewSolver returns a Solver backed by cache. A nil cache disables

@@ -216,7 +216,7 @@ func Run(c Config) (*Result, error) {
 		cfg.SoftDeadlines = true
 		cfg.VEModel = core.VERollback
 		cfg.FaultSeed = fSeed
-		cfg.NoCFaultInjection = true // forces DisableNoCCache
+		cfg.NoCFaultInjection = true
 		cfg.NoCDropScale = c.DropScale
 		cfg.NoCDropCap = c.DropCap
 		eng, err := core.NewEngine(cfg, fw)
