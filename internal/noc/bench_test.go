@@ -22,8 +22,8 @@ func benchFlows() []Flow {
 // sparseFlows is a Fig 6-shaped flow set: many flows, each far below link
 // capacity, leaving most routers idle most cycles. This is the regime the
 // engine actually measures (probed chip-wide offered load during the paper
-// workloads is 0.1-2 flits/cycle across 60 tiles) and the one the active
-// stepping path is built for.
+// workloads is 0.1-2 flits/cycle across 60 tiles) and the one the active-set
+// cycle loop is built for.
 func sparseFlows() []Flow {
 	rates := []float64{0.004, 0.002, 0.008, 0.001, 0.006}
 	var flows []Flow
@@ -61,31 +61,26 @@ func BenchmarkNetworkStep(b *testing.B) {
 
 // BenchmarkNoCStepAllocs pins the //parm:hot contract dynamically: once the
 // mesh reaches steady state (ring buffers filled, wake heap and packet-start
-// logs at their working sizes), a cycle step must run allocation-free under
-// both stepping strategies. hotalloc enforces the same property statically.
+// logs at their working sizes), a cycle step must run allocation-free.
+// hotalloc enforces the same property statically.
 func BenchmarkNoCStepAllocs(b *testing.B) {
-	for _, tc := range []struct {
-		name     string
-		stepping Stepping
-	}{{"active", SteppingActive}, {"dense", SteppingDense}} {
-		b.Run(tc.name, func(b *testing.B) {
-			env := &Env{PSN: make([]float64, 60)}
-			n, err := NewNetwork(Config{Stepping: tc.stepping}, PANR{}, benchFlows(), env)
-			if err != nil {
-				b.Fatal(err)
-			}
-			n.Run(8000) // fill buffers and grow per-flow logs to steady state
-			allocs := testing.AllocsPerRun(1000, n.Step)
-			if allocs != 0 {
-				b.Fatalf("steady-state Step allocates %.3f times per run, want 0", allocs)
-			}
-			b.ReportAllocs()
-			b.ResetTimer()
-			for i := 0; i < b.N; i++ {
-				n.Step()
-			}
-		})
-	}
+	b.Run("active", func(b *testing.B) {
+		env := &Env{PSN: make([]float64, 60)}
+		n, err := NewNetwork(Config{}, PANR{}, benchFlows(), env)
+		if err != nil {
+			b.Fatal(err)
+		}
+		n.Run(8000) // fill buffers and grow per-flow logs to steady state
+		allocs := testing.AllocsPerRun(1000, n.Step)
+		if allocs != 0 {
+			b.Fatalf("steady-state Step allocates %.3f times per run, want 0", allocs)
+		}
+		b.ReportAllocs()
+		b.ResetTimer()
+		for i := 0; i < b.N; i++ {
+			n.Step()
+		}
+	})
 }
 
 // BenchmarkMeasureWindow times a full measurement window (the per-mapping-
@@ -103,26 +98,25 @@ func BenchmarkMeasureWindow(b *testing.B) {
 }
 
 // BenchmarkSparseWindow compares the window strategies on the Fig 6-shaped
-// sparse fixture: the dense reference sweep, the active-set cycle path, and
-// the analytic closed form. These are the per-strategy costs behind the
-// noc_window entries of BENCH_parm.json.
+// sparse fixture: the dense reference sweep of dense_test.go, the active-set
+// cycle loop, and the analytic closed form.
 func BenchmarkSparseWindow(b *testing.B) {
 	flows := sparseFlows()
 	b.Run("dense", func(b *testing.B) {
 		env := &Env{PSN: make([]float64, 60)}
 		for i := 0; i < b.N; i++ {
-			n, err := NewNetwork(Config{Stepping: SteppingDense}, PANR{}, flows, env)
+			n, err := NewNetwork(Config{}, PANR{}, flows, env)
 			if err != nil {
 				b.Fatal(err)
 			}
-			n.Run(1500)
-			n.Measure(8000)
+			n.runDense(1500)
+			n.measureDense(8000)
 		}
 	})
 	b.Run("active", func(b *testing.B) {
 		env := &Env{PSN: make([]float64, 60)}
 		for i := 0; i < b.N; i++ {
-			n, err := NewNetwork(Config{Stepping: SteppingActive}, PANR{}, flows, env)
+			n, err := NewNetwork(Config{}, PANR{}, flows, env)
 			if err != nil {
 				b.Fatal(err)
 			}

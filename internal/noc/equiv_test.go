@@ -9,9 +9,9 @@ import (
 )
 
 // This file pins the equivalence contract of DESIGN.md §11: the active-set
-// stepping path (bitsets, wakeup heap, lazy EWMA decay) must be cycle-exact
-// against the dense reference sweep — same Measure results, same observable
-// rate estimates, bit for bit — and the analytic closed form must stay within
+// cycle loop (bitsets, wakeup heap, lazy EWMA decay) must be cycle-exact
+// against the dense reference sweep of dense_test.go — same Measure results,
+// same observable rate estimates, bit for bit — and the analytic closed form must stay within
 // its documented drift bounds on uncongested fixtures.
 
 // equivFixtures covers the regimes the engine produces: Fig 6-shaped sparse
@@ -37,28 +37,28 @@ func equivFixtures() map[string]struct {
 	}
 }
 
-// measureBoth runs the same fixture under both stepping strategies and
+// measureBoth runs the same fixture on Step and on the dense reference and
 // returns the two networks after an identical warmup+measure schedule.
 // newFM builds a fresh fault model per network — a stateful (seeded-RNG)
 // model must not be shared, or the second run would continue the first
 // run's random stream.
 func measureBoth(t *testing.T, cfg Config, alg Algorithm, flows []Flow, env *Env, newFM func() FaultModel) (a, d *Network, ra, rd *Result) {
 	t.Helper()
-	mk := func(s Stepping) (*Network, *Result) {
-		c := cfg
-		c.Stepping = s
-		n, err := NewNetwork(c, alg, flows, env)
+	mk := func() *Network {
+		n, err := NewNetwork(cfg, alg, flows, env)
 		if err != nil {
 			t.Fatal(err)
 		}
 		if newFM != nil {
 			n.SetFaultModel(newFM())
 		}
-		n.Run(1500)
-		return n, n.Measure(6000)
+		return n
 	}
-	a, ra = mk(SteppingActive)
-	d, rd = mk(SteppingDense)
+	a, d = mk(), mk()
+	a.Run(1500)
+	ra = a.Measure(6000)
+	d.runDense(1500)
+	rd = d.measureDense(6000)
 	return a, d, ra, rd
 }
 
@@ -110,23 +110,23 @@ func TestActiveDenseEquivalenceFaulted(t *testing.T) {
 	}
 }
 
-// TestActiveDenseLockstep steps both strategies cycle by cycle and compares
+// TestActiveDenseLockstep steps both loops cycle by cycle and compares
 // after every single cycle, so a divergence is caught at the cycle it first
 // appears rather than smeared over a window.
 func TestActiveDenseLockstep(t *testing.T) {
 	env := &Env{PSN: make([]float64, 60)}
 	flows := sparseFlows()[:25]
-	mk := func(s Stepping) *Network {
-		n, err := NewNetwork(Config{Stepping: s}, PANR{}, flows, env)
+	mk := func() *Network {
+		n, err := NewNetwork(Config{}, PANR{}, flows, env)
 		if err != nil {
 			t.Fatal(err)
 		}
 		return n
 	}
-	a, d := mk(SteppingActive), mk(SteppingDense)
+	a, d := mk(), mk()
 	for c := 0; c < 3000; c++ {
 		a.Step()
-		d.Step()
+		d.stepDense()
 		for tile := 0; tile < 60; tile++ {
 			ia, id := a.IncomingRate(geom.TileID(tile)), d.IncomingRate(geom.TileID(tile))
 			//parm:floateq

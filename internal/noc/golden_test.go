@@ -53,8 +53,9 @@ func gradedEnv() *Env {
 
 // goldenMeasure runs every equivalence fixture under every routing scheme,
 // without faults and with a seeded NoiseDropModel, keyed
-// "fixture/scheme/faults".
-func goldenMeasure(t *testing.T) map[string]goldenCase {
+// "fixture/scheme/faults". With dense set it drives the reference loop of
+// dense_test.go instead of Run and Measure.
+func goldenMeasure(t *testing.T, dense bool) map[string]goldenCase {
 	t.Helper()
 	out := make(map[string]goldenCase)
 	for fxName, fx := range equivFixtures() {
@@ -69,8 +70,14 @@ func goldenMeasure(t *testing.T) map[string]goldenCase {
 					mode = "noise-drop"
 					n.SetFaultModel(NewNoiseDropModel(17, 0.05, 0, 0))
 				}
-				n.Run(1500)
-				res := n.Measure(6000)
+				var res *Result
+				if dense {
+					n.runDense(1500)
+					res = n.measureDense(6000)
+				} else {
+					n.Run(1500)
+					res = n.Measure(6000)
+				}
 				gc := goldenCase{RouterForwarded: res.RouterForwarded}
 				for _, fs := range res.Flows {
 					gc.Flows = append(gc.Flows, flowRow(fs))
@@ -117,17 +124,17 @@ func encodeGolden(cases map[string]goldenCase) ([]byte, error) {
 
 // TestMeasureGolden pins the cycle loop's committed bytes: per-flow stats,
 // per-router crossbar counts and rate estimates for every fixture, scheme
-// and fault setting. Unlike TestActiveDenseEquivalence, which compares two
-// sweeps over the same per-router helpers, this catches any change to
-// arbitration, routing order or float arithmetic in those helpers.
+// and fault setting, from both Measure and the dense reference. Unlike
+// TestActiveDenseEquivalence, which compares two sweeps over the same
+// per-router helpers, this catches any change to arbitration, routing order
+// or float arithmetic in those helpers.
 func TestMeasureGolden(t *testing.T) {
-	got := goldenMeasure(t)
-	buf, err := encodeGolden(got)
-	if err != nil {
-		t.Fatal(err)
-	}
 	golden := filepath.Join("testdata", "measure.golden.json")
 	if *updateGolden {
+		buf, err := encodeGolden(goldenMeasure(t, false))
+		if err != nil {
+			t.Fatal(err)
+		}
 		if err := os.WriteFile(golden, buf, 0o644); err != nil {
 			t.Fatal(err)
 		}
@@ -135,6 +142,18 @@ func TestMeasureGolden(t *testing.T) {
 	raw, err := os.ReadFile(golden)
 	if err != nil {
 		t.Fatalf("reading golden (run with -update to regenerate): %v", err)
+	}
+	t.Run("active", func(t *testing.T) { compareGolden(t, goldenMeasure(t, false), raw) })
+	t.Run("dense", func(t *testing.T) { compareGolden(t, goldenMeasure(t, true), raw) })
+}
+
+// compareGolden reports every case of got that differs from the golden
+// bytes raw.
+func compareGolden(t *testing.T, got map[string]goldenCase, raw []byte) {
+	t.Helper()
+	buf, err := encodeGolden(got)
+	if err != nil {
+		t.Fatal(err)
 	}
 	if bytes.Equal(buf, raw) {
 		return

@@ -8,23 +8,6 @@ import (
 	"parm/internal/geom"
 )
 
-// Stepping selects the cycle-loop implementation.
-type Stepping int
-
-const (
-	// SteppingActive is the event-driven default: only routers holding
-	// flits and tiles with staged or mid-packet injections are visited each
-	// cycle, dormant flows accrue demand via scheduled wakeups, and fully
-	// idle stretches are skipped in one jump (DESIGN.md §11).
-	SteppingActive Stepping = iota
-	// SteppingDense is the reference loop: every flow and every router is
-	// ticked every cycle, as the pre-fast-path simulator did. It shares the
-	// per-tile micro-step helpers with the active path and exists for the
-	// cycle-exact equivalence tests; both implementations produce
-	// bit-identical metrics.
-	SteppingDense
-)
-
 // Config parameterizes the NoC simulation.
 type Config struct {
 	// Width and Height are the mesh dimensions. Zero selects 10x6.
@@ -45,9 +28,6 @@ type Config struct {
 	// experiment was calibrated against (TestConfigDefaults pins doc and
 	// code together).
 	RateEWMA float64
-	// Stepping selects the cycle-loop implementation; the zero value is the
-	// event-driven active-set path, SteppingDense the full-sweep reference.
-	Stepping Stepping
 	// SatLinkLoad is the per-link offered load (flits per cycle, injection
 	// and ejection ports included) above which AnalyticMeasure declares the
 	// network congested and callers must fall back to cycle simulation.
@@ -115,8 +95,7 @@ type Network struct {
 	staged  []int     // whole packets waiting at the source NIC
 	nextSeq []int     // next packet sequence number
 	// accCycle[i] is the last cycle whose demand accrual has been replayed
-	// into acc[i]; the active path advances it lazily at wakeups, the dense
-	// path every cycle.
+	// into acc[i]; Step advances it lazily at wakeups.
 	accCycle []int
 	// partial[t] tracks, per tile, the flow whose packet is mid-injection
 	// and how many flits remain, so packets enter the local port contiguously.
@@ -231,16 +210,10 @@ func NewNetwork(cfg Config, alg Algorithm, flows []Flow, env *Env) (*Network, er
 				n.srcTiles = append(n.srcTiles, int(f.Src))
 			}
 			n.flowsBySrc[f.Src] = append(n.flowsBySrc[f.Src], i)
+			n.scheduleWake(i)
 		}
 	}
 	sort.Ints(n.srcTiles)
-	if cfg.Stepping == SteppingActive {
-		for i, f := range flows {
-			if f.Src != f.Dst {
-				n.scheduleWake(i)
-			}
-		}
-	}
 	return n, nil
 }
 
@@ -272,18 +245,16 @@ func (n *Network) IncomingRate(t geom.TileID) float64 {
 // SensorPSN returns the environment's PSN reading at tile t.
 func (n *Network) SensorPSN(t geom.TileID) float64 { return n.env.psnAt(t) }
 
-// Step advances the simulation by one cycle. The active path visits only
-// tiles with injection work and routers holding flits; every micro-step it
-// performs is identical, in the same ascending-tile order, to what the
-// dense reference sweep would have done — the skipped tiles are exactly
-// those for which the dense body is a no-op.
+// Step advances the simulation by one cycle. It visits only tiles with
+// injection work and routers holding flits, while dormant flows accrue
+// demand via scheduled wakeups (DESIGN.md §11). Every micro-step it performs
+// is identical, in the same ascending-tile order, to what a dense sweep of
+// every flow and router would do (the executable reference in
+// dense_test.go); the skipped tiles are exactly those for which the dense
+// body is a no-op.
 //
 //parm:hot
 func (n *Network) Step() {
-	if n.cfg.Stepping == SteppingDense {
-		n.stepDense()
-		return
-	}
 	n.processWakeups()
 	// Injection sweep over tiles with staged packets or a mid-packet worm.
 	for wi, w := range n.activeTiles.words {
@@ -317,50 +288,15 @@ func (n *Network) Step() {
 	n.cycle++
 }
 
-// stepDense is the reference cycle: every flow accrues and every router is
-// swept, whether or not it has work. It shares the per-tile micro-step
-// helpers with the active path, so the equivalence tests compare genuinely
-// different sweep structures over identical building blocks.
-func (n *Network) stepDense() {
-	for i := range n.flows {
-		if n.flows[i].Src == n.flows[i].Dst {
-			continue // local communication bypasses the NoC
-		}
-		n.advanceAccrual(i, n.cycle)
-	}
-	// One flit per cycle enters each source tile's local input port (only
-	// tiles with flows can ever inject).
-	for _, t := range n.srcTiles {
-		n.injectAtTile(t)
-	}
-	for t := range n.routers {
-		if n.routers[t].buffered == 0 {
-			continue
-		}
-		n.routeComputeRouter(t)
-	}
-	arrivals := n.arrivalScratch[:0]
-	for t := range n.routers {
-		if n.routers[t].buffered == 0 {
-			continue // no flits: arbitration and traversal are no-ops
-		}
-		arrivals = n.traverseRouter(t, arrivals)
-	}
-	n.applyArrivals(arrivals)
-	n.arrivalScratch = arrivals[:0]
-	n.foldRatesDense()
-	n.cycle++
-}
-
-// Run advances the simulation by the given number of cycles. On the active
-// path, stretches where no router holds a flit and no tile has injection
-// work are skipped in one jump to the next flow wakeup: no per-cycle state
-// changes in between (rate decay and demand accrual are lazy, credits are
-// clear between cycles), so the jump is exact.
+// Run advances the simulation by the given number of cycles. Stretches
+// where no router holds a flit and no tile has injection work are skipped in
+// one jump to the next flow wakeup: no per-cycle state changes in between
+// (rate decay and demand accrual are lazy, credits are clear between
+// cycles), so the jump is exact.
 func (n *Network) Run(cycles int) {
 	end := n.cycle + cycles
 	for n.cycle < end {
-		if n.cfg.Stepping == SteppingActive && n.activeRouters.empty() && n.activeTiles.empty() {
+		if n.activeRouters.empty() && n.activeTiles.empty() {
 			next := end
 			if len(n.wake) > 0 && n.wake[0].cycle < next {
 				next = n.wake[0].cycle
@@ -391,7 +327,7 @@ func (n *Network) processWakeups() {
 }
 
 // advanceAccrual replays flow i's per-cycle demand accrual up to and
-// including cycle through, exactly as the dense loop would have: one
+// including cycle through, exactly as a per-cycle loop would have: one
 // floating-point add per cycle, stagings and stall accounting at the
 // precise crossing cycles. Replaying the adds (rather than closing the sum
 // into k*rate) keeps the float trajectory bit-identical to the reference.
@@ -788,22 +724,6 @@ func (n *Network) foldRates() {
 	n.rated = n.rated[:0]
 }
 
-// foldRatesDense advances every router's incoming-rate EWMA eagerly, as the
-// reference loop did each cycle.
-func (n *Network) foldRatesDense() {
-	alpha := n.cfg.RateEWMA
-	for t := range n.routers {
-		r := &n.routers[t]
-		sample := 0.0
-		if r.recvCycle == n.cycle {
-			sample = float64(r.recvCount)
-		}
-		r.incomingRate = ewmaStep(r.incomingRate, alpha, sample)
-		r.rateCycle = n.cycle + 1
-	}
-	n.rated = n.rated[:0]
-}
-
 // Result summarizes a measurement window.
 type Result struct {
 	// Cycles is the window length.
@@ -818,7 +738,11 @@ type Result struct {
 
 // Measure runs the network for the given number of cycles from its current
 // state and returns aggregate statistics.
-func (n *Network) Measure(cycles int) *Result {
+func (n *Network) Measure(cycles int) *Result { return n.measure(cycles, n.Run) }
+
+// measure advances the network by cycles through run and returns the
+// statistics accumulated in between.
+func (n *Network) measure(cycles int, run func(cycles int)) *Result {
 	startForwarded := make([]int, len(n.routers))
 	for i := range n.routers {
 		startForwarded[i] = n.routers[i].forwarded
@@ -826,7 +750,7 @@ func (n *Network) Measure(cycles int) *Result {
 	startStats := make([]FlowStats, len(n.stats))
 	copy(startStats, n.stats)
 
-	n.Run(cycles)
+	run(cycles)
 
 	res := &Result{
 		Cycles:          cycles,

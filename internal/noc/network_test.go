@@ -47,9 +47,6 @@ func TestConfigDefaults(t *testing.T) {
 	if c.SatLinkLoad != 0.6 {
 		t.Errorf("SatLinkLoad = %g, want 0.6", c.SatLinkLoad)
 	}
-	if c.Stepping != SteppingActive {
-		t.Errorf("Stepping = %d, want SteppingActive", c.Stepping)
-	}
 }
 
 // Each mesh dimension defaults independently: setting only Width must not
